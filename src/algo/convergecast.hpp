@@ -32,11 +32,10 @@ class Convergecast : public congest::Algorithm {
 
   std::string name() const override { return "convergecast"; }
   void start(congest::Context& ctx) override;
+  /// Sparse activation: progress is strictly receive-driven after the leaves'
+  /// round-0 reports (done() counts completions, not quiescence).
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: progress is strictly receive-driven after the leaves'
-  /// round-0 reports (done() counts completions, not quiescence).
-  bool event_driven() const override { return true; }
 
   /// The aggregate as known by node v (valid once done()).
   std::uint64_t result(NodeId v) const { return result_[v]; }
@@ -98,11 +97,10 @@ class ForestEcho : public congest::Algorithm {
 
   std::string name() const override { return "forest-echo"; }
   void start(congest::Context& ctx) override;
+  /// Sparse activation: saturation and resolution waves are receive-driven;
+  /// decided and inactive nodes never run again.
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: saturation and resolution waves are receive-driven;
-  /// decided and inactive nodes never run again.
-  bool event_driven() const override { return true; }
 
   /// The component minimum as known by node v (valid once done()).
   const EchoValue& result(NodeId v) const { return acc_[v]; }

@@ -21,11 +21,10 @@ class LeaderElection : public congest::Algorithm {
 
   std::string name() const override { return "leader-election"; }
   void start(congest::Context& ctx) override;
+  /// Sparse activation: a node re-floods only on improvement, which can only be
+  /// triggered by an incoming announcement.
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node re-floods only on improvement, which can only be
-  /// triggered by an incoming announcement.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     current_round_.store(round, std::memory_order_relaxed);
   }

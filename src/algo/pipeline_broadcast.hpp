@@ -45,12 +45,11 @@ class PipelineBroadcast : public congest::Algorithm {
 
   std::string name() const override { return "pipeline-broadcast"; }
   void start(congest::Context& ctx) override;
-  void step(congest::Context& ctx) override;
-  bool done() const override;
-  /// Event-driven: a node with queued items keeps itself scheduled via
+  /// Sparse activation: a node with queued items keeps itself scheduled via
   /// request_wakeup (one item per pipeline per round); everyone else runs
   /// only when a relay arrives.
-  bool event_driven() const override { return true; }
+  void step(congest::Context& ctx) override;
+  bool done() const override;
 
   std::uint64_t k() const { return k_; }
   std::uint64_t received_count(NodeId v) const { return received_[v]; }

@@ -47,11 +47,10 @@ class BatchBellmanFord : public congest::Algorithm {
 
   std::string name() const override { return "batch-sssp/bellman-ford"; }
   void start(congest::Context& ctx) override;
+  /// Sparse activation: a node with a non-empty announcement FIFO requests a
+  /// wakeup after each send, so the backlog drains without dense sweeps.
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node with a non-empty announcement FIFO requests a
-  /// wakeup after each send, so the backlog drains without dense sweeps.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -83,7 +82,7 @@ class BatchBellmanFord : public congest::Algorithm {
 struct BatchSsspOptions {
   std::uint64_t max_rounds = 10'000'000;
   bool parallel = true;
-  /// Run the legacy dense sweep instead of the event-driven engine (the
+  /// Run the dense sweep instead of the event-driven engine (the
   /// differential-test / baseline knob; results are bit-identical).
   bool force_dense = false;
   /// Telemetry recorder for the engine run (null = off). Each query's

@@ -34,6 +34,12 @@ class DelayedBfs : public congest::Algorithm {
     act(ctx);
     rearm(ctx);
   }
+  // Sparse activation via a wakeup chain: a node keeps itself scheduled while
+  // its round-2π(v) source timer is still pending (request_wakeup has no
+  // target round, so the chain ticks every round until the timer fires)
+  // or while its relay queue holds undelivered pairs. After that it runs
+  // only when a wave arrives. The chain's total activations are O(n) per
+  // node — the same order as the waves themselves.
   void step(congest::Context& ctx) override {
     const NodeId v = ctx.id();
     for (const auto& in : ctx.inbox()) {
@@ -53,13 +59,6 @@ class DelayedBfs : public congest::Algorithm {
     return filled_.load(std::memory_order_relaxed) ==
            static_cast<std::uint64_t>(n_) * n_;
   }
-  // Event-driven via a wakeup chain: a node keeps itself scheduled while
-  // its round-2π(v) source timer is still pending (request_wakeup has no
-  // target round, so the chain ticks every round until the timer fires)
-  // or while its relay queue holds undelivered pairs. After that it runs
-  // only when a wave arrives. The chain's total activations are O(n) per
-  // node — the same order as the waves themselves.
-  bool event_driven() const override { return true; }
 
  private:
   struct Pending {

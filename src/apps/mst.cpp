@@ -51,6 +51,9 @@ class AnnouncePhase : public congest::Algorithm {
       ctx.send(a, {kTagFrag, (*frag_)[v], 0});
   }
 
+  /// Sparse activation: only announcement receivers act in round 1; the
+  /// two-round clock lives in round_started so silent components (and the
+  /// sparse engine's idle rounds) cannot stall done().
   void step(congest::Context& ctx) override {
     const NodeId v = ctx.id();
     for (const auto& in : ctx.inbox()) {
@@ -69,10 +72,6 @@ class AnnouncePhase : public congest::Algorithm {
   bool done() const override {
     return last_round_.load(std::memory_order_relaxed) >= 1;
   }
-  /// Event-driven: only announcement receivers act in round 1; the
-  /// two-round clock lives in round_started so silent components (and the
-  /// sparse engine's idle rounds) cannot stall done().
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     last_round_.store(round, std::memory_order_relaxed);
   }
@@ -129,7 +128,6 @@ class MoeFloodPhase : public congest::Algorithm {
   }
 
   bool done() const override { return quiescence_.quiescent(); }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -178,7 +176,6 @@ class ConnectPhase : public congest::Algorithm {
   bool done() const override {
     return last_round_.load(std::memory_order_relaxed) >= 1;
   }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     last_round_.store(round, std::memory_order_relaxed);
   }
@@ -232,7 +229,6 @@ class MergeFloodPhase : public congest::Algorithm {
   }
 
   bool done() const override { return quiescence_.quiescent(); }
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }

@@ -71,7 +71,7 @@ struct MstOptions {
   std::uint64_t max_rounds = 10'000'000;
   bool parallel = true;
   MstMerge merge = MstMerge::kConvergecast;
-  /// Run every phase with the legacy dense sweep instead of the
+  /// Run every phase with the dense sweep instead of the
   /// event-driven engine (differential-test / baseline knob).
   bool force_dense = false;
   /// Shared telemetry recorder threaded through every phase execution

@@ -31,11 +31,10 @@ class DistributedBellmanFord : public congest::Algorithm {
 
   std::string name() const override { return "sssp/bellman-ford"; }
   void start(congest::Context& ctx) override;
+  /// Sparse activation: a node re-announces only after an inbox-driven
+  /// relaxation, so only the active wavefront pays per round.
   void step(congest::Context& ctx) override;
   bool done() const override;
-  /// Event-driven: a node re-announces only after an inbox-driven
-  /// relaxation, so only the active wavefront pays per round.
-  bool event_driven() const override { return true; }
   void round_started(std::uint64_t round) override {
     quiescence_.note_round(round);
   }
@@ -59,7 +58,7 @@ class DistributedBellmanFord : public congest::Algorithm {
 struct SsspOptions {
   std::uint64_t max_rounds = 10'000'000;
   bool parallel = true;
-  /// Run the legacy dense sweep instead of the event-driven engine (the
+  /// Run the dense sweep instead of the event-driven engine (the
   /// differential-test / baseline knob; results are bit-identical).
   bool force_dense = false;
   /// Telemetry recorder for the engine run (null = off).

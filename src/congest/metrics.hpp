@@ -64,9 +64,9 @@ struct RunResult {
   /// Per-arc message counts; EMPTY when the run had count_sends off.
   std::vector<std::uint64_t> arc_sends;
   /// THIS run's telemetry (series, span, histograms); engaged only when the
-  /// run had a telemetry recorder attached (RunOptions::telemetry or
-  /// Algorithm::telemetry()) in a mode other than kOff. Multi-run hosts
-  /// read the accumulated view from the recorder's snapshot() instead.
+  /// run had a telemetry recorder attached (RunOptions::telemetry) in a
+  /// mode other than kOff. Multi-run hosts read the accumulated view from
+  /// the recorder's snapshot() instead.
   std::optional<TelemetrySnapshot> telemetry;
 
   /// Messages that crossed edge e in either direction (0 when the run did

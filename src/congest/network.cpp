@@ -16,20 +16,6 @@ void Context::send(ArcId via, const Message& m) {
   net_->do_send(*this, via, m);
 }
 
-Context Context::block_view(NodeId node_base, ArcId arc_base,
-                            const Graph& local) const {
-  Context sub = *this;
-  sub.graph_ = &local;
-  sub.node_base_ = node_base;
-  sub.arc_base_ = arc_base;
-  // The inbox lives in this worker's scratch and this handler is its only
-  // reader, so the vias can be translated where they sit.
-  const std::span<Incoming> items(const_cast<Incoming*>(inbox_.data()),
-                                  inbox_.size());
-  for (Incoming& in : items) in.via -= arc_base;
-  return sub;
-}
-
 void Context::request_wakeup() {
   if (wakeup_ == nullptr || woke_) return;  // dense sweep or already queued
   woke_ = true;
@@ -43,24 +29,21 @@ Network::Network(const Graph& g) : graph_(&g), arcs_(g.arc_count()) {
 
 void Network::do_send(Context& ctx, ArcId via, const Message& m) {
   const Graph& g = *graph_;
-  // `via` is in the context's view; a block view offsets it back into the
-  // engine's arc space (the identity view has arc_base_ == 0).
-  const ArcId at = ctx.arc_base_ + via;
-  if (at < g.arc_begin(ctx.node_) || at >= g.arc_end(ctx.node_))
+  if (via < g.arc_begin(ctx.node_) || via >= g.arc_end(ctx.node_))
     throw std::logic_error("Context::send: arc does not leave this node");
-  if (faults_on_ && arc_dead_[at]) {
+  if (faults_on_ && arc_dead_[via]) {
     // A failed link (or a link into a crashed node) swallows the send: it
     // never occupies a slot and never enters the message ledger.
     fault_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const std::size_t w = write_off_ + at;
+  const std::size_t w = write_off_ + via;
   if (slot_full_[w])
     throw std::logic_error(
         "Context::send: second message on one arc in one round "
         "(CONGEST bandwidth violation)");
   slot_full_[w] = 1;
-  if (faults_on_ && corrupt_stamp_[at] == ctx.round_ + 1) {
+  if (faults_on_ && corrupt_stamp_[via] == ctx.round_ + 1) {
     Message c = m;
     c.a = corrupt_word(c.a);
     slot_msg_[w] = c;
@@ -68,8 +51,8 @@ void Network::do_send(Context& ctx, ArcId via, const Message& m) {
   } else {
     slot_msg_[w] = m;
   }
-  ctx.recv_->push_back(g.arc_head(at));
-  if (counting_) ++arc_sends_[at];
+  ctx.recv_->push_back(g.arc_head(via));
+  if (counting_) ++arc_sends_[via];
 }
 
 void Network::apply_faults(std::uint64_t round) {
@@ -223,17 +206,16 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
     fault_queue_.clear();
   }
 
-  const bool sparse = alg.event_driven() && !opts.force_dense;
+  const bool sparse = !opts.force_dense;
   ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::global();
   const std::size_t workers = pool.size();
   thread_recv_.assign(workers, {});
   thread_wakeup_.assign(workers, {});
   inbox_scratch_.assign(workers, {});
 
-  // Telemetry: the caller's recorder wins; an algorithm-carried one (e.g.
-  // TraceRecorder's) is the fallback. kRounds records counters only — no
-  // clock reads inside the loop; kFull adds the three phase timers.
-  tele_ = opts.telemetry != nullptr ? opts.telemetry : alg.telemetry();
+  // Telemetry: kRounds records counters only — no clock reads inside the
+  // loop; kFull adds the three phase timers.
+  tele_ = opts.telemetry;
   if (tele_ != nullptr && !tele_->enabled()) tele_ = nullptr;
   const bool timing = tele_ != nullptr && tele_->full();
   if (tele_ != nullptr) tele_->begin_run(alg.name(), workers);
@@ -316,44 +298,6 @@ RunResult Network::run(Algorithm& alg, const RunOptions& opts) {
         }
         list.clear();
       }
-    } else if (opts.parallel && workers > 1 &&
-               sent >= opts.parallel_stamp_threshold) {
-      // Parallel stamp: pool workers split the per-worker receiver lists.
-      // Every writer of one stamp writes the same value `next`, so relaxed
-      // atomic stores are enough; when telemetry wants the unique-receiver
-      // count, the first writer CAS-claims the stamp, counting each
-      // receiver exactly once — the size of a set, identical under every
-      // interleaving and pool size. Wakeup stamps follow serially (they
-      // are bounded by n, not messages) so that, as in the serial branch,
-      // a node that is both woken and a receiver counts as a receiver.
-      std::vector<std::uint64_t> uniq(tele_ != nullptr ? workers : 0, 0);
-      const bool want_receivers = tele_ != nullptr;
-      pool.parallel_chunks(
-          workers, [&](std::size_t w, std::size_t begin, std::size_t end) {
-            std::uint64_t mine = 0;
-            for (std::size_t li = begin; li < end; ++li) {
-              for (const NodeId to : thread_recv_[li]) {
-                std::atomic_ref<std::uint64_t> stamp(sched_stamp_[to]);
-                if (!want_receivers) {
-                  stamp.store(next, std::memory_order_relaxed);
-                  continue;
-                }
-                std::uint64_t seen = stamp.load(std::memory_order_relaxed);
-                while (seen != next &&
-                       !stamp.compare_exchange_weak(
-                           seen, next, std::memory_order_relaxed)) {
-                }
-                if (seen != next) ++mine;  // this worker claimed the stamp
-              }
-            }
-            if (want_receivers) uniq[w] = mine;
-          });
-      for (auto& list : thread_recv_) list.clear();
-      for (auto& list : thread_wakeup_) {
-        for (const NodeId v : list) sched_stamp_[v] = next;
-        list.clear();
-      }
-      for (const std::uint64_t u : uniq) receivers += u;
     } else if (tele_ != nullptr) {
       // Telemetry needs the unique-receiver count, so the stamp pass pays
       // the dedup branch the plain path below avoids.

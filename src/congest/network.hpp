@@ -16,13 +16,8 @@
 //  * Message slots are per-directed-edge and DOUBLE-BUFFERED: one half of
 //    the flat slot array receives this round's sends while handlers read
 //    last round's half. End-of-round delivery is an O(1) offset flip plus
-//    an O(messages) pass over the per-worker receiver lists that stamps
-//    each receiver; nothing is copied, merged, or sorted. Once a round's
-//    send volume crosses RunOptions::parallel_stamp_threshold the stamp
-//    pass itself runs on the pool — receiver stamps become relaxed atomic
-//    stores (every writer writes the same round number, so the value is
-//    well-defined under any interleaving), which keeps the messages >> n
-//    regime at memory bandwidth instead of single-core store throughput.
+//    a serial O(messages) pass over the per-worker receiver lists that
+//    stamps each receiver; nothing is copied, merged, or sorted.
 //  * A node's inbox is materialized on the worker thread that runs its
 //    handler, by scanning the node's contiguous arc range for full
 //    reverse-arc slots (skipped entirely when the receiver stamp says the
@@ -30,11 +25,11 @@
 //    order — the determinism contract every algorithm's tie-breaking rests
 //    on — comes for free, and consuming a slot clears its flag, so the
 //    read half is clean again by the time the next flip reuses it.
-//  * Algorithms that declare event_driven() run SPARSE: step() executes
-//    only for nodes with a non-empty inbox or a pending request_wakeup(),
-//    so a round costs O(sum of active nodes' degrees), not O(n + m).
-//    Legacy algorithms (event_driven() == false) keep the dense sweep —
-//    step() on all n nodes — with the same zero-copy delivery.
+//  * Activation is SPARSE: step() executes only for nodes with a non-empty
+//    inbox or a pending request_wakeup(), so a round costs O(sum of active
+//    nodes' degrees), not O(n + m). RunOptions::force_dense selects the
+//    dense sweep — step() on all n nodes, same zero-copy delivery — which
+//    is kept as the differential-test oracle.
 //  * Handlers run in parallel on a thread pool once enough nodes are
 //    active; each handler writes only its own node's state and its own
 //    outgoing slots, and each slot has exactly one consumer, so rounds are
@@ -72,7 +67,7 @@ class Network;
 /// of one handler call (the inbox span points into per-worker scratch).
 class Context {
  public:
-  NodeId id() const { return node_ - node_base_; }
+  NodeId id() const { return node_; }
   std::uint64_t round() const { return round_; }
 
   /// Local topology.
@@ -94,22 +89,11 @@ class Context {
   void send(ArcId via, const Message& m);
 
   /// Schedule this node to run next round even if it receives nothing —
-  /// the event-driven engine's knob for spontaneous activity (backlogs,
+  /// the sparse engine's knob for spontaneous activity (backlogs,
   /// timers). A node that neither receives nor requested a wakeup is NOT
   /// stepped under the sparse engine. No-op under the dense sweep, where
   /// every node runs anyway.
   void request_wakeup();
-
-  /// Composite-algorithm support (congest::run_edge_disjoint): a view of
-  /// this context translated into a node/arc-contiguous block of the
-  /// engine's graph whose CSR layout mirrors `local` exactly. id(), the
-  /// topology accessors, graph(), the inbox `via` fields, and send() all
-  /// speak `local` ids; the engine keeps accounting (slots, arc_sends,
-  /// receiver stamps) in engine ids. Rewrites the delivered vias IN PLACE
-  /// (this handler owns its inbox scratch), so build at most one view per
-  /// handler call and stop using the parent context's inbox afterwards.
-  Context block_view(NodeId node_base, ArcId arc_base,
-                     const Graph& local) const;
 
   /// Mark this round with a named instant event in the run's telemetry
   /// (kFull mode; a single null-check otherwise). The hook that makes
@@ -125,10 +109,8 @@ class Context {
  private:
   friend class Network;
   Network* net_ = nullptr;
-  const Graph* graph_ = nullptr;  // view graph: engine graph, or a block's
-  NodeId node_ = kInvalidNode;    // ENGINE node id (node_base_ + id())
-  NodeId node_base_ = 0;          // block_view translation offsets; 0 = the
-  ArcId arc_base_ = 0;            //   identity view over the engine graph
+  const Graph* graph_ = nullptr;
+  NodeId node_ = kInvalidNode;
   std::uint64_t round_ = 0;
   std::span<const Incoming> inbox_;
   std::vector<NodeId>* recv_ = nullptr;    // worker receiver list (stamping)
@@ -148,29 +130,23 @@ class Algorithm {
   /// Round 0: called once per node before any delivery; may send.
   virtual void start(Context& ctx) = 0;
   /// Rounds >= 1: called once per node with that node's inbox; may send.
+  /// The engine steps only nodes with a non-empty inbox or a pending
+  /// Context::request_wakeup() (sparse activation), so step() on a node
+  /// with an empty inbox must be a pure no-op — no sends, no state change,
+  /// nothing done() can observe — unless the node requested a wakeup last
+  /// round. The dense oracle (RunOptions::force_dense) steps every node
+  /// and must produce the same run.
   virtual void step(Context& ctx) = 0;
   /// Global termination oracle, checked (single-threaded) after each round.
   /// This models the standard simulator convention: the paper's algorithms
   /// all have known round bounds, so termination detection is free.
   virtual bool done() const = 0;
 
-  /// Event-driven capability (opt-in). When true, the engine steps only
-  /// nodes with a non-empty inbox or a pending Context::request_wakeup().
-  /// Contract: step() on a node with an empty inbox must be a pure no-op —
-  /// no sends, no state change, nothing done() can observe — unless the
-  /// node requested a wakeup last round. Per-round bookkeeping (e.g.
-  /// QuiescenceDetector::note_round) must live in round_started(), which
-  /// fires even on rounds where no node runs.
-  virtual bool event_driven() const { return false; }
   /// Called once per round, single-threaded, before any handler of that
-  /// round (round 0 included), under BOTH engines.
+  /// round (round 0 included), under BOTH engines. Per-round bookkeeping
+  /// (e.g. QuiescenceDetector::note_round) belongs here, not in step():
+  /// this hook fires even on rounds where no node runs.
   virtual void round_started(std::uint64_t round) { (void)round; }
-
-  /// An algorithm may carry its own telemetry recorder (TraceRecorder
-  /// does); the engine attaches it when the caller supplied none in
-  /// RunOptions::telemetry (an explicit RunOptions recorder wins — one
-  /// recorder per run). Return nullptr (the default) to opt out.
-  virtual Telemetry* telemetry() { return nullptr; }
 };
 
 struct RunOptions {
@@ -179,22 +155,12 @@ struct RunOptions {
   bool parallel = true;
   /// Collect per-arc send counts (cheap; on by default).
   bool count_sends = true;
-  /// Force the legacy dense sweep (step every node every round) even for
-  /// event_driven() algorithms — the differential-test and baseline knob.
+  /// Run the dense sweep (step every node every round) instead of sparse
+  /// activation — the differential-test oracle and baseline knob.
   bool force_dense = false;
   /// Pool for the handler rounds; null selects ThreadPool::global(). The
   /// run is bit-identical for every pool size by construction.
   ThreadPool* pool = nullptr;
-  /// Delivery goes parallel once a round sends at least this many messages:
-  /// below it the serial stamp loop wins (no pool dispatch), above it the
-  /// per-worker receiver lists are stamped concurrently with relaxed atomic
-  /// stores (CAS-claimed when telemetry needs the unique-receiver count).
-  /// Rounds that build an active list (< n/8 activity) always stamp
-  /// serially — they are cheap by definition and keep the list's
-  /// construction order pool-independent. Results are bit-identical either
-  /// way; the knob exists for benchmarks (SIZE_MAX = measure the serial
-  /// pass) and tests (small = force the parallel pass on tiny graphs).
-  std::size_t parallel_stamp_threshold = 4096;
   /// Telemetry recorder (null or kOff = record nothing, the hot paths keep
   /// a single null-check). The recorder may be shared across several run()
   /// calls to build one multi-span trace; the run's own slice also lands in
@@ -285,8 +251,7 @@ class Network {
   std::uint64_t runs_started_ = 0;
   bool counting_ = true;
   // Attached telemetry recorder for the current run (null = off). Valid
-  // only inside run(); resolved from RunOptions::telemetry with
-  // Algorithm::telemetry() as the fallback.
+  // only inside run(); taken from RunOptions::telemetry.
   Telemetry* tele_ = nullptr;
 };
 

@@ -146,8 +146,7 @@ struct TelemetrySnapshot {
 };
 
 /// The recorder. Callers own it and pass it to the engine via
-/// RunOptions::telemetry (or let an Algorithm carry one — see
-/// Algorithm::telemetry()); the engine-facing hooks below are called by
+/// RunOptions::telemetry; the engine-facing hooks below are called by
 /// Network::run only.
 class Telemetry {
   /// kRounds storage: the counters that must be stored per round and

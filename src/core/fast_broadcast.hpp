@@ -31,7 +31,7 @@ struct FastBroadcastOptions {
   std::uint64_t max_rounds = 50'000'000;
   /// Diameter-budget slack multiplier for the oblivious validity check.
   double validity_slack = 4.0;
-  /// Run every engine execution with the legacy dense sweep instead of the
+  /// Run every engine execution with the dense sweep instead of the
   /// event-driven engine (differential-test / baseline knob).
   bool force_dense = false;
 };

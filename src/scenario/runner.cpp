@@ -1,5 +1,6 @@
 #include "scenario/runner.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -374,9 +375,11 @@ ScenarioResult run_mst_scenario(const WeightedGraph& full,
     cfg.payload->mst_edges.reserve(rep.tree_edges.size());
     for (const EdgeId e : rep.tree_edges) {
       const EdgeId full_e = w.kept_edges.empty() ? e : w.kept_edges[e];
-      cfg.payload->mst_edges.emplace_back(full.graph().edge_u(full_e),
-                                          full.graph().edge_v(full_e));
+      const NodeId u = full.graph().edge_u(full_e);
+      const NodeId v = full.graph().edge_v(full_e);
+      cfg.payload->mst_edges.emplace_back(std::min(u, v), std::max(u, v));
     }
+    std::sort(cfg.payload->mst_edges.begin(), cfg.payload->mst_edges.end());
   }
   r.note = "mst_weight=" + std::to_string(rep.total_weight) +
            " edges=" + std::to_string(rep.tree_edges.size()) +

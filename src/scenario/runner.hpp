@@ -80,7 +80,7 @@ struct ScenarioConfig {
   /// Placement of those batch sources; run_spec() fills this from a spec's
   /// `source_mode=first|random` parameter when the caller left it kUnset.
   SourceMode source_mode = SourceMode::kUnset;
-  /// Run the legacy dense sweep (step every node every round) instead of
+  /// Run the dense sweep (step every node every round) instead of
   /// the event-driven engine. Reports are bit-identical either way — this
   /// is the differential-test and baseline-measurement knob
   /// (scenario_runner --engine=dense).

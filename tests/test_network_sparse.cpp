@@ -1,6 +1,6 @@
 // Differential contract of the event-driven round engine: for every
-// migrated algorithm, the sparse run (only nodes with messages or a
-// pending wakeup step) is BIT-IDENTICAL to the legacy dense sweep — same
+// algorithm, the sparse run (only nodes with messages or a
+// pending wakeup step) is BIT-IDENTICAL to the dense sweep — same
 // rounds, messages, per-arc sends, and per-node outputs — on the registry
 // differential spec grid, at engine pool sizes 1, 2, and 8. A counting
 // wrapper verifies the sparse engine actually skips idle nodes, and a
@@ -11,9 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <memory>
-
-#include <limits>
 
 #include "algo/bfs.hpp"
 #include "algo/convergecast.hpp"
@@ -26,6 +25,7 @@
 #include "apps/mst.hpp"
 #include "apps/sssp.hpp"
 #include "congest/runner.hpp"
+#include "graph/properties.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "util/thread_pool.hpp"
@@ -316,7 +316,6 @@ class DelayedFlood : public Algorithm {
   DelayedFlood(const Graph& g, std::uint64_t delay)
       : delay_(delay), n_(g.node_count()) {}
   std::string name() const override { return "delayed-flood"; }
-  bool event_driven() const override { return true; }
   void start(Context& ctx) override {
     if (ctx.id() == 0) ctx.request_wakeup();
   }
@@ -436,72 +435,13 @@ TEST(SparseEngine, ClusteringDifferentialThroughEntryPoint) {
   }
 }
 
-TEST(SparseEngine, ParallelStampDeliveryBitIdentical) {
-  // The parallel delivery stamp: threshold 1 forces every stamping round
-  // onto the pool (atomic stores; CAS-claims when telemetry wants the
-  // unique-receiver count), and a threshold no round can reach pins the
-  // serial baseline. Cost, outputs, AND the telemetry counter series must
-  // be bit-identical — the with_input column is exactly the CAS-claimed
-  // receiver count. This is the test the TSAN CI job re-runs to hold the
-  // concurrent stamp stores race-free.
-  const Graph g = scenario::build_graph("random_regular:n=600,d=4,seed=9");
-  const auto sources = apps::default_sources(g, 8);
-  const auto outputs = [](const algo::BatchBfs& alg) {
-    std::vector<std::uint32_t> out;
-    for (std::uint32_t s = 0; s < alg.k(); ++s) {
-      const auto d = alg.source_distances(s);
-      out.insert(out.end(), d.begin(), d.end());
-    }
-    return out;
-  };
-  Telemetry tele_serial(TelemetryMode::kRounds);
-  RunOptions serial;
-  serial.parallel_stamp_threshold = std::numeric_limits<std::size_t>::max();
-  serial.telemetry = &tele_serial;
-  algo::BatchBfs base_alg(g, sources);
-  Network base_net(g);
-  const RunResult baseline = base_net.run(base_alg, serial);
-  const auto baseline_out = outputs(base_alg);
-  const auto baseline_series = tele_serial.snapshot().series;
-
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    for (const bool force_dense : {false, true}) {
-      for (const bool with_tele : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads << " dense=" << force_dense
-                     << " tele=" << with_tele);
-        ThreadPool pool(threads);
-        Telemetry tele(TelemetryMode::kRounds);
-        RunOptions opts;
-        opts.pool = &pool;
-        opts.force_dense = force_dense;
-        opts.parallel_stamp_threshold = 1;
-        if (with_tele) opts.telemetry = &tele;
-        algo::BatchBfs alg(g, sources);
-        Network net(g);
-        const RunResult res = net.run(alg, opts);
-        expect_same_cost(baseline, res);
-        EXPECT_EQ(baseline_out, outputs(alg));
-        if (with_tele) {
-          const auto series = tele.snapshot().series;
-          ASSERT_EQ(series.size(), baseline_series.size());
-          for (std::size_t i = 0; i < series.size(); ++i) {
-            EXPECT_EQ(baseline_series[i].with_input, series[i].with_input);
-            EXPECT_EQ(baseline_series[i].delivered, series[i].delivered);
-            EXPECT_EQ(baseline_series[i].sent, series[i].sent);
-            EXPECT_EQ(baseline_series[i].wakeups, series[i].wakeups);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(SparseEngine, RunnerInterleavedMatchesSequential) {
-  // The composite runner's two modes must be bit-identical in composite
-  // cost, parent congestion, per-instance results, and algorithm outputs —
-  // kSequential is the legacy baseline, kInterleaved the one-engine-run
-  // default, at every pool size, under both engines.
+TEST(SparseEngine, CompositeMatchesPerInstanceOracle) {
+  // run_edge_disjoint runs one engine execution per instance and combines
+  // them as the concurrent execution pays: composite rounds = max over
+  // instances, messages = sum, parent-edge congestion = the instances'
+  // per-edge counts folded back through parent_edge. Every instance's
+  // distances must equal the serial BFS on its subgraph, at every pool
+  // size, under both engines.
   for (const std::string spec :
        {std::string("thick_cycle:groups=8,width=4"),
         std::string("harary:n=64,k=5")}) {
@@ -512,51 +452,42 @@ TEST(SparseEngine, RunnerInterleavedMatchesSequential) {
     std::vector<Subgraph> parts;
     for (const auto& k : keep) parts.push_back(make_subgraph(g, k));
 
-    const auto run_mode = [&](CompositeMode mode, ThreadPool* pool,
-                              bool force_dense) {
-      std::vector<std::unique_ptr<algo::DistributedBfs>> algs;
-      std::vector<EdgeDisjointInstance> work;
-      for (const auto& p : parts) {
-        algs.push_back(std::make_unique<algo::DistributedBfs>(p.graph, 0));
-        work.push_back({&p, algs.back().get()});
-      }
-      RunOptions opts;
-      opts.pool = pool;
-      opts.force_dense = force_dense;
-      CompositeResult res = run_edge_disjoint(g, work, opts, mode);
-      std::vector<std::uint32_t> out;
-      for (const auto& a : algs) {
-        const auto d = a->distances();
-        out.insert(out.end(), d.begin(), d.end());
-      }
-      return std::pair(std::move(res), std::move(out));
-    };
-
-    const auto [base, base_out] =
-        run_mode(CompositeMode::kSequential, nullptr, false);
     for (const std::size_t threads : kThreads) {
       for (const bool force_dense : {false, true}) {
         SCOPED_TRACE(::testing::Message()
                      << "threads=" << threads << " dense=" << force_dense);
         ThreadPool pool(threads);
-        const auto [res, out] =
-            run_mode(CompositeMode::kInterleaved, &pool, force_dense);
-        EXPECT_EQ(base.rounds, res.rounds);
-        EXPECT_EQ(base.messages, res.messages);
-        EXPECT_EQ(base.finished, res.finished);
-        EXPECT_EQ(base.parent_edge_congestion, res.parent_edge_congestion);
-        ASSERT_EQ(base.per_instance.size(), res.per_instance.size());
-        for (std::size_t i = 0; i < base.per_instance.size(); ++i) {
-          SCOPED_TRACE(i);
-          EXPECT_EQ(base.per_instance[i].rounds, res.per_instance[i].rounds);
-          EXPECT_EQ(base.per_instance[i].messages,
-                    res.per_instance[i].messages);
-          EXPECT_EQ(base.per_instance[i].finished,
-                    res.per_instance[i].finished);
-          EXPECT_EQ(base.per_instance[i].arc_sends,
-                    res.per_instance[i].arc_sends);
+        std::vector<std::unique_ptr<algo::DistributedBfs>> algs;
+        std::vector<EdgeDisjointInstance> work;
+        for (const auto& p : parts) {
+          algs.push_back(std::make_unique<algo::DistributedBfs>(p.graph, 0));
+          work.push_back({&p, algs.back().get()});
         }
-        EXPECT_EQ(base_out, out);
+        RunOptions opts;
+        opts.pool = &pool;
+        opts.force_dense = force_dense;
+        const CompositeResult res = run_edge_disjoint(g, work, opts);
+
+        ASSERT_EQ(res.per_instance.size(), parts.size());
+        std::uint64_t max_rounds = 0, sum_messages = 0;
+        bool all_finished = true;
+        std::vector<std::uint64_t> congestion(g.edge_count(), 0);
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+          SCOPED_TRACE(i);
+          const RunResult& r = res.per_instance[i];
+          max_rounds = std::max(max_rounds, r.rounds);
+          sum_messages += r.messages;
+          all_finished = all_finished && r.finished;
+          const Graph& sub = parts[i].graph;
+          for (EdgeId e = 0; e < sub.edge_count(); ++e)
+            congestion[parts[i].parent_edge[e]] += r.edge_congestion(sub, e);
+          EXPECT_EQ(algs[i]->distances(), bfs_distances(sub, 0));
+        }
+        EXPECT_EQ(res.rounds, max_rounds);
+        EXPECT_EQ(res.messages, sum_messages);
+        EXPECT_EQ(res.finished, all_finished);
+        EXPECT_TRUE(res.finished);
+        EXPECT_EQ(res.parent_edge_congestion, congestion);
       }
     }
   }

@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/batch_sssp.hpp"
@@ -438,6 +440,27 @@ TEST(RandomSources, ServedPayloadEchoesRandomPlacement) {
   ASSERT_EQ(got->items.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i)
     EXPECT_EQ(got->items[i].number, want[i]);
+}
+
+TEST(ServePayload, MstEdgesAreSortedCanonicalPairs) {
+  // ScenarioPayload promises canonical (u, v) pairs with u < v, sorted.
+  // rmat's edge ids do not follow endpoint order, so serving the forest in
+  // edge-id order would break the promise on this spec.
+  Service service(ServiceOptions{});
+  const JsonValue resp = submit_one(
+      service, query_line("rmat:n=256,deg=4,seed=3,weights=1..100", "mst",
+                          "\"payload\": true"));
+  ASSERT_TRUE(resp.flag("ok")) << resp.str("message", "");
+  const JsonValue* edges = resp.find("mst_edges");
+  ASSERT_NE(edges, nullptr);
+  std::vector<std::pair<double, double>> got;
+  for (const JsonValue& e : edges->items) {
+    ASSERT_EQ(e.items.size(), 2u);
+    EXPECT_LT(e.items[0].number, e.items[1].number);
+    got.emplace_back(e.items[0].number, e.items[1].number);
+  }
+  EXPECT_GT(got.size(), 1u);
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
 // ------------------------------------------------------- dynamic specs --
